@@ -27,7 +27,7 @@ from repro.core.engine import EngineBase
 from repro.core.meeting import MeetingIndex
 from repro.core.plan import Plan, PlanCache
 from repro.core.result import QueryResult
-from repro.errors import QueryError
+from repro.errors import InvariantError, QueryError
 from repro.graph.labeled_graph import LabeledGraph
 from repro.regex.matcher import (
     BackwardTracker,
@@ -249,9 +249,11 @@ class BBFSEngine(EngineBase):
                 timed_out=truncated,
                 expansions=expansions,
             )
-        assert check_path(
-            compiled, self.graph, joined, self.elements
-        ) == COMPATIBLE, "internal error: BBFS join is not compatible"
+        if (
+            check_path(compiled, self.graph, joined, self.elements)
+            != COMPATIBLE
+        ):
+            raise InvariantError("internal error: BBFS join is not compatible")
         return QueryResult(
             reachable=True,
             path=joined,

@@ -60,8 +60,9 @@ from repro.core.wavefront import (
     WavefrontSide,
     run_wavefront,
 )
-from repro.errors import QueryError
+from repro.errors import InvariantError, QueryError
 from repro.graph.labeled_graph import LabeledGraph
+from repro.lru import LRUCache
 from repro.queries.query import RSPQuery
 from repro.regex.compiler import CompiledRegex, RegexLike
 from repro.regex.interner import EMPTY_STATE_ID, InternedStepTable
@@ -79,6 +80,9 @@ from repro.rng import RngLike, WavefrontSampler, ensure_rng
 
 #: the two transition-memo shapes the hot-path counters aggregate over
 _TransitionTable = Union[InternedStepTable, _StepCache]
+
+#: ``(id(compiled), forward)`` — the key of the per-regex memo LRUs
+_RegexKey = Tuple[int, bool]
 
 
 def _table_totals(
@@ -259,20 +263,25 @@ class Arrival(EngineBase):
             diameter_sample_size,
             bool(calibration_regexes),
         )
-        # transition memoisation, shared across queries per compiled
-        # regex and direction (see repro.regex.matcher._StepCache)
-        self._step_caches: Dict[Tuple[int, bool], _StepCache] = {}
+        # per-(regex, direction) transition memos — frozenset step
+        # caches (repro.regex.matcher._StepCache) and interned step
+        # tables — each in an LRU of two entries per plan the plan
+        # cache holds, created on first use.  Keys use id(compiled);
+        # every entry holds its regex, which both prevents id reuse
+        # while the entry lives and lets the shm export recover a
+        # fingerprint per table.
+        self._step_caches: Optional[
+            LRUCache[_RegexKey, Tuple[CompiledRegex, _StepCache]]
+        ] = None
+        self._fast_tables: Optional[
+            LRUCache[_RegexKey, Tuple[CompiledRegex, InternedStepTable]]
+        ] = None
         # fast-path state: one label-set interner for the engine's
         # lifetime (ids stay stable across graph-view rebuilds, keeping
-        # the interned transition tables valid), a version-stamped graph
-        # view, and per-(regex, direction) interned step tables
+        # the interned transition tables valid) and a version-stamped
+        # graph view
         self._label_interner = LabelSetInterner()
         self._graph_view: Optional[GraphView] = None
-        self._fast_tables: Dict[Tuple[int, bool], InternedStepTable] = {}
-        # the regex behind each fast-table key (the key uses id(); the
-        # strong reference both prevents id reuse and lets the shm
-        # export recover a fingerprint per table)
-        self._fast_compiled: Dict[int, CompiledRegex] = {}
         # (fingerprint, forward) -> raw warm-table state adopted from a
         # shared-memory plane; consumed lazily by _fast_table
         self._warm_table_state: Dict[Tuple[str, bool], Dict[str, Any]] = {}
@@ -441,19 +450,18 @@ class Arrival(EngineBase):
             and _StepCache.usable_for(compiled, self.label_mode)
         )
         rebuilds_before = self.view_rebuilds
+        view: Optional[GraphView] = None
+        forward_tables: Optional[InternedStepTable] = None
+        backward_tables: Optional[InternedStepTable] = None
+        if use_fast:
+            stage_start = time.perf_counter()
+            view = self._current_view()
+            stats.view_build_s = time.perf_counter() - stage_start
+            stage_start = time.perf_counter()
+            forward_tables = self._fast_table(compiled, forward=True)
+            backward_tables = self._fast_table(compiled, forward=False)
+            stats.table_build_s = time.perf_counter() - stage_start
         stage_start = time.perf_counter()
-        view = self._current_view() if use_fast else None
-        forward_tables = (
-            self._fast_table(compiled, forward=True) if use_fast else None
-        )
-        backward_tables = (
-            self._fast_table(compiled, forward=False) if use_fast else None
-        )
-        transitions_before = _table_totals(
-            (forward_tables, backward_tables)
-            if use_fast
-            else tuple(self._step_caches.values())
-        )
 
         # the wavefront kernel engages only where the fast path is
         # sound *and* the walk loop has nothing the SoA layout cannot
@@ -480,17 +488,28 @@ class Arrival(EngineBase):
                 view=view,
                 forward_tables=forward_tables,
                 backward_tables=backward_tables,
-                transitions_before=transitions_before,
+                transitions_before=_table_totals(
+                    (forward_tables, backward_tables)
+                ),
                 rebuilds_before=rebuilds_before,
                 stage_start=stage_start,
             )
+
+        forward_cache = self._step_cache(compiled, forward=True)
+        backward_cache = self._step_cache(compiled, forward=False)
+        memos: Tuple[Optional[_TransitionTable], ...] = (
+            (forward_tables, backward_tables)
+            if use_fast
+            else (forward_cache, backward_cache)
+        )
+        transitions_before = _table_totals(memos)
 
         forward = SideRunner(
             self.graph, compiled, self.elements, source,
             forward=True, walk_length=walk_length, rng=self.rng,
             mode=self.label_mode, meeting=self.meeting,
             max_edges=distance_bound, min_edges=min_distance,
-            cache=self._step_cache(compiled, forward=True),
+            cache=forward_cache,
             trace=trace,
             view=view, tables=forward_tables, rng_batch=self.rng_batch,
         )
@@ -499,7 +518,7 @@ class Arrival(EngineBase):
             forward=False, walk_length=walk_length, rng=self.rng,
             mode=self.label_mode, meeting=self.meeting,
             max_edges=distance_bound, min_edges=min_distance,
-            cache=self._step_cache(compiled, forward=False),
+            cache=backward_cache,
             trace=trace,
             view=view, tables=backward_tables, rng_batch=self.rng_batch,
         )
@@ -554,10 +573,7 @@ class Arrival(EngineBase):
         self._record_endpoints(forward, backward)
 
         transition_hits, transition_misses = _table_deltas(
-            transitions_before,
-            (forward_tables, backward_tables)
-            if use_fast
-            else tuple(self._step_caches.values()),
+            transitions_before, memos
         )
         stats.candidates_scanned = forward.scanned + backward.scanned
         stats.transition_hits = transition_hits
@@ -586,11 +602,16 @@ class Arrival(EngineBase):
                 info=info,
                 stats=stats,
             )
-        # the guarantee of no false positives: verify the witness
+        # the guarantee of no false positives: verify the witness (an
+        # explicit check, so it also holds under ``python -O``)
         stage_start = time.perf_counter()
-        assert check_path(
-            compiled, self.graph, joined, self.elements
-        ) == COMPATIBLE, "internal error: joined path is not compatible"
+        if (
+            check_path(compiled, self.graph, joined, self.elements)
+            != COMPATIBLE
+        ):
+            raise InvariantError(
+                "internal error: joined path is not compatible"
+            )
         stats.verify_s = time.perf_counter() - stage_start
         return QueryResult(
             reachable=True,
@@ -768,11 +789,16 @@ class Arrival(EngineBase):
                 info=info,
                 stats=stats,
             )
-        # the guarantee of no false positives: verify the witness
+        # the guarantee of no false positives: verify the witness (an
+        # explicit check, so it also holds under ``python -O``)
         stage_start = time.perf_counter()
-        assert check_path(
-            compiled, self.graph, joined, self.elements
-        ) == COMPATIBLE, "internal error: joined path is not compatible"
+        if (
+            check_path(compiled, self.graph, joined, self.elements)
+            != COMPATIBLE
+        ):
+            raise InvariantError(
+                "internal error: joined path is not compatible"
+            )
         stats.verify_s = time.perf_counter() - stage_start
         return QueryResult(
             reachable=True,
@@ -832,17 +858,34 @@ class Arrival(EngineBase):
         symbol keys requires every label set of the current view to be
         interned already.
         """
+        tables = self._table_cache()
         key = (id(compiled), forward)
-        table = self._fast_tables.get(key)
-        if table is None:
+        entry = tables.get(key)
+        if entry is None:
             nfa = compiled.nfa if forward else compiled.reversed_nfa
             table = self._adopt_warm_table(compiled, forward, nfa)
             if table is None:
-                table = InternedStepTable(nfa, self._label_interner.sets)
-            self._fast_tables[key] = table
-            self._fast_compiled[id(compiled)] = compiled
+                table = InternedStepTable(nfa, self._label_interner.incidence)
+            tables.put(key, (compiled, table))
+        else:
+            table = entry[1]
         table.project()
         return table
+
+    def _table_cache(
+        self,
+    ) -> LRUCache[_RegexKey, Tuple[CompiledRegex, InternedStepTable]]:
+        """The interned step tables (see :meth:`_regex_lru`)."""
+        tables = self._fast_tables
+        if tables is None:
+            tables = self._regex_lru()
+            self._fast_tables = tables
+        return tables
+
+    def _regex_lru(self) -> LRUCache[_RegexKey, Any]:
+        """A per-(regex, direction) LRU: two entries per plan the plan
+        cache holds, so memos never outnumber the plans they serve."""
+        return LRUCache(2 * self._ensure_plan_cache().plans.max_entries)
 
     def _adopt_warm_table(
         self, compiled: CompiledRegex, forward: bool, nfa: NFA
@@ -863,7 +906,7 @@ class Arrival(EngineBase):
             return None
         return InternedStepTable.adopt_state(
             nfa,
-            self._label_interner.sets,
+            self._label_interner.incidence,
             state_sets=state["state_sets"],
             key_ids=state["key_ids"],
             sym_ids=state["sym_ids"],
@@ -879,12 +922,17 @@ class Arrival(EngineBase):
             return None
         if not _StepCache.usable_for(compiled, self.label_mode):
             return None
+        caches = self._step_caches
+        if caches is None:
+            caches = self._regex_lru()
+            self._step_caches = caches
         key = (id(compiled), forward)
-        cache = self._step_caches.get(key)
-        if cache is None:
+        entry = caches.get(key)
+        if entry is None:
             cache = _StepCache()
-            self._step_caches[key] = cache
-        return cache
+            caches.put(key, (compiled, cache))
+            return cache
+        return entry[1]
 
     def _prepare_engine(self) -> None:
         """Pay one-time setup now: walkLength / numWalks estimation (the
@@ -945,10 +993,7 @@ class Arrival(EngineBase):
         """
         view = self._current_view()
         tables: List[Tuple[str, bool, Dict[str, Any]]] = []
-        for (cid, forward), table in self._fast_tables.items():
-            compiled = self._fast_compiled.get(cid)
-            if compiled is None:
-                continue
+        for (_, forward), (compiled, table) in self._table_cache().items():
             fingerprint = fingerprint_regex(compiled)
             if fingerprint is None:
                 continue

@@ -37,20 +37,26 @@ import numpy.typing as npt
 from repro.obs import profiled
 from repro.graph.labeled_graph import LabeledGraph
 from repro.labels import LabelSet
+from repro.regex.interner import LabelIncidence
 
 
 class LabelSetInterner:
     """Dense ids for label sets, stable for the owning engine's lifetime.
 
     ``sets`` is the live id -> label-set list; transition tables hold a
-    reference to it and index it on cache misses.
+    reference to it and index it on cache misses.  ``incidence`` is the
+    per-label postings over ``sets``
+    (:class:`~repro.regex.interner.LabelIncidence`), extended lazily by
+    the first symbol-key projection after the interner grew; every
+    transition table over this interner shares it.
     """
 
-    __slots__ = ("_ids", "sets")
+    __slots__ = ("_ids", "sets", "incidence")
 
     def __init__(self) -> None:
         self._ids: Dict[LabelSet, int] = {}
         self.sets: List[LabelSet] = []
+        self.incidence = LabelIncidence(self.sets)
 
     def intern(self, labels: LabelSet) -> int:
         """The id of ``labels``, allocating one on first sight."""

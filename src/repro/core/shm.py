@@ -520,6 +520,9 @@ class SharedGraph(LabeledGraph):
             "in": CSRSnapshot(manifest.version, in_.indptr, in_.indices),
         }
         self._derived: Dict[str, Any] = {}
+        #: per-node neighbour tuples, built once per direction on first
+        #: lookup (parameter estimation walks every row many times)
+        self._rows: Dict[bool, List[Tuple[int, ...]]] = {}
         self.csr_rebuilds = 0
         adopt_stamp(self, manifest.stamp)
 
@@ -538,13 +541,30 @@ class SharedGraph(LabeledGraph):
     def max_node_id(self) -> int:
         return self._max_node_id
 
+    def _neighbor_rows(self, forward: bool) -> List[Tuple[int, ...]]:
+        """Every node's out- (or in-) neighbours as an immutable tuple.
+
+        Sliced from the worker view's plain-list CSR in one pass, so a
+        lookup is a list index instead of a numpy slice plus an
+        ``int()`` per element.
+        """
+        rows = self._rows.get(forward)
+        if rows is None:
+            view = self._shared_view
+            indptr = view.out_indptr if forward else view.in_indptr
+            indices = view.out_indices if forward else view.in_indices
+            rows = [
+                tuple(indices[indptr[node] : indptr[node + 1]])
+                for node in range(self._max_node_id)
+            ]
+            self._rows[forward] = rows
+        return rows
+
     def out_neighbors(self, node: int) -> Tuple[int, ...]:
-        return tuple(
-            int(x) for x in self._csr_cache["out"].neighbors(node)
-        )
+        return self._neighbor_rows(True)[node]
 
     def in_neighbors(self, node: int) -> Tuple[int, ...]:
-        return tuple(int(x) for x in self._csr_cache["in"].neighbors(node))
+        return self._neighbor_rows(False)[node]
 
     def out_degree(self, node: int) -> int:
         return self._csr_cache["out"].degree(node)

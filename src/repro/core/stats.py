@@ -6,10 +6,11 @@ keys in ``QueryResult.info`` (``info["hot_path"]["transition_hits"]``,
 and batches, so the executor's pipeline replaces it with two records:
 
 * :class:`ExecStats` — one query's instrumentation: per-stage wall
-  timings (regex compilation, parameter estimation, the walk/search
-  loop, witness verification) plus the hot-path counters introduced by
-  the CSR fast path (candidates scanned, interned-transition hits and
-  misses, RNG block refills, CSR view rebuilds).  Engines attach it to
+  timings (regex compilation, parameter estimation, graph-view and
+  transition-table builds, the walk/search loop, witness verification)
+  plus the hot-path counters introduced by the CSR fast path
+  (candidates scanned, interned-transition hits and misses, RNG block
+  refills, CSR view rebuilds).  Engines attach it to
   ``QueryResult.stats``; :class:`~repro.core.engine.EngineBase` fills in
   the total for engines that do not time their stages individually.
 * :class:`BatchStats` — the fold of a workload's ``ExecStats`` produced
@@ -57,6 +58,8 @@ _STAGE_FIELDS = (
     "plan_s",
     "compile_s",
     "params_s",
+    "view_build_s",
+    "table_build_s",
     "walk_s",
     "verify_s",
     "oracle_s",
@@ -84,6 +87,12 @@ class ExecStats:
     compile_s: float = 0.0
     #: walkLength / numWalks estimation (ARRIVAL; ~0 once cached)
     params_s: float = 0.0
+    #: CSR graph-view (re)build for the walk fast path (ARRIVAL; ~0
+    #: until the graph mutates)
+    view_build_s: float = 0.0
+    #: transition-table lookup and symbol-key projection (ARRIVAL fast
+    #: path; cold tables for a new regex pay their projection here)
+    table_build_s: float = 0.0
     #: the walk loop (ARRIVAL) or search loop (exhaustive baselines)
     walk_s: float = 0.0
     #: witness-path verification on positive answers

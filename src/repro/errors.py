@@ -68,6 +68,17 @@ class TimeBudgetExceeded(ReproError):
     """
 
 
+class InvariantError(ReproError):
+    """An engine caught itself about to break one of its guarantees.
+
+    Raised by the engines' own explicit self-checks — for example, a
+    joined witness path that fails the compatibility re-check before a
+    positive answer is returned.  Unlike ``assert``, these checks also
+    run under ``python -O``.  Seeing one means the engine is at fault,
+    not the query.
+    """
+
+
 class VerificationError(ReproError):
     """Base class for the independent oracle layer (:mod:`repro.verify`).
 

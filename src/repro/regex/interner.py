@@ -17,6 +17,10 @@ This module replaces both frozensets with interned small integers:
   ``(state_id, label_set_id) -> state_id``.  Label-set ids come from the
   engine's label interner (see :mod:`repro.core.fastpath`), so a cached
   transition is a single dict probe on a tuple of two ints.
+* :class:`LabelIncidence` holds, per label, the sorted ids of the label
+  sets containing it.  The label interner owns one; every step table
+  over that interner reads it to project label sets onto symbol keys
+  with a few array operations per alphabet label.
 
 Soundness is exactly the :meth:`_StepCache.usable_for
 <repro.regex.matcher._StepCache.usable_for>` gate: memoising by label
@@ -28,7 +32,7 @@ the frozenset trackers otherwise.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 import numpy.typing as npt
@@ -39,6 +43,116 @@ from repro.regex.nfa import NFA, EMPTY_STATES, StateSet
 #: id of the empty state set in every interner — walkers compare against
 #: this instead of truthiness on a frozenset
 EMPTY_STATE_ID = 0
+
+#: one symbol key per label set: ``(labels ∩ A, bool(labels − A))``
+SymbolKey = Tuple[LabelSet, bool]
+
+
+class LabelIncidence:
+    """Per-label postings over a live, append-only list of label sets.
+
+    For each label, the sorted ``int32`` array of the ids of the label
+    sets that contain it, plus every set's size.  The postings cover
+    ``label_sets[:covered]`` and are extended lazily, on the first
+    :meth:`symbol_keys` call after the list grew, so building a graph
+    view never pays for them.  Growth appends to the postings of the
+    labels the new sets carry; existing ids never change, because the
+    list is append-only.
+    """
+
+    __slots__ = ("label_sets", "_postings", "_sizes")
+
+    def __init__(self, label_sets: Sequence[LabelSet]) -> None:
+        self.label_sets = label_sets
+        self._postings: Dict[str, npt.NDArray[np.int32]] = {}
+        self._sizes: npt.NDArray[np.int32] = np.zeros(0, dtype=np.int32)
+
+    @property
+    def covered(self) -> int:
+        """How many label sets (a prefix of ``label_sets``) are indexed."""
+        return int(self._sizes.shape[0])
+
+    def _extend(self) -> None:
+        start = self.covered
+        stop = len(self.label_sets)
+        if start == stop:
+            return
+        label_sets = self.label_sets
+        grown: Dict[str, List[int]] = {}
+        for lsid in range(start, stop):
+            for label in label_sets[lsid]:
+                grown.setdefault(label, []).append(lsid)
+        postings = self._postings
+        for label, members in grown.items():
+            added = np.asarray(members, dtype=np.int32)
+            posting = postings.get(label)
+            postings[label] = (
+                added if posting is None else np.concatenate((posting, added))
+            )
+        sizes = np.fromiter(
+            (len(label_sets[lsid]) for lsid in range(start, stop)),
+            dtype=np.int32,
+            count=stop - start,
+        )
+        self._sizes = np.concatenate((self._sizes, sizes))
+
+    def symbol_keys(
+        self, alphabet: FrozenSet[str], start: int
+    ) -> Tuple[List[SymbolKey], npt.NDArray[np.intp]]:
+        """Symbol keys of ``label_sets[start:]`` under ``alphabet``.
+
+        Returns the distinct keys in order of first occurrence, and for
+        each label set from ``start`` on the index of its key in that
+        list.  Every set gets an integer code: each alphabet label that
+        occurs in the graph adds one bit over its postings (and one to
+        the set's member count), and a last bit marks a set larger than
+        its member count — one with a label outside the alphabet.  Codes
+        are renumbered densely whenever their range would outgrow the
+        number of sets, so any alphabet size fits in an int64 and the
+        first-occurrence table stays O(sets).
+        """
+        self._extend()
+        stop = self.covered
+        count = stop - start
+        postings = self._postings
+        codes = np.zeros(count, dtype=np.int64)
+        members = np.zeros(count, dtype=np.int32)
+        space = 1  # codes lie in [0, space)
+        for label in sorted(alphabet):
+            posting = postings.get(label)
+            if posting is None:
+                continue
+            if space > count:
+                codes, space = _renumber(codes, space)
+            rows = posting[np.searchsorted(posting, start) :] - start
+            codes[rows] += space
+            members[rows] += 1
+            space *= 2
+        codes = 2 * codes + (self._sizes[start:stop] > members)
+        space *= 2
+        first = np.full(space, count, dtype=np.int64)
+        np.minimum.at(first, codes, np.arange(count, dtype=np.int64))
+        seen = np.flatnonzero(first < count)
+        order = seen[np.argsort(first[seen])]
+        rank = np.zeros(space, dtype=np.intp)
+        rank[order] = np.arange(order.size)
+        keys: List[SymbolKey] = []
+        label_sets = self.label_sets
+        for offset in first[order].tolist():
+            labels = label_sets[start + offset]
+            relevant = labels & alphabet
+            keys.append((relevant, len(relevant) < len(labels)))
+        return keys, rank[codes]
+
+
+def _renumber(
+    codes: npt.NDArray[np.int64], space: int
+) -> Tuple[npt.NDArray[np.int64], int]:
+    """Map the codes in use onto ``0..k-1`` (order-preserving)."""
+    used = np.zeros(space, dtype=np.bool_)
+    used[codes] = True
+    remap = np.cumsum(used) - 1
+    return remap[codes], int(remap[-1]) + 1
 
 
 class StateSetInterner:
@@ -103,9 +217,10 @@ class InternedStepTable:
     """Memoised ``(state_id, symbol_key_id) -> state_id`` transitions.
 
     One table per (automaton, walk direction), shared across queries by
-    the engine exactly like ``_StepCache``.  ``label_sets`` is a *live*
-    list owned by the engine's label interner — it grows in place as new
-    label sets are seen, so the reference stays valid across graph-view
+    the engine exactly like ``_StepCache``.  ``incidence`` is the
+    :class:`LabelIncidence` owned by the engine's label interner, and
+    ``label_sets`` its *live* list — it grows in place as new label
+    sets are seen, so the reference stays valid across graph-view
     rebuilds and the cached transitions survive graph mutations (they
     depend only on the automaton and the label sets themselves).
 
@@ -118,12 +233,20 @@ class InternedStepTable:
     label outside ``known`` — which is determined by ``labels ∩ A`` plus
     the single bit "does the set contain any label outside ``A``".
     :meth:`project` therefore collapses every label-set id onto a dense
-    **symbol-key id** via ``(labels ∩ A, bool(labels − A))``, and the
-    transition table keys on that: it saturates after
-    O(|state sets| × 2^|A|) misses instead of growing with the graph's
-    label-set diversity.  (This is unsound for predicates — attrs, not
-    labels — and for sampled mode — per-step randomness; both are
-    excluded by the fast-path gate.)
+    **symbol-key id** via ``(labels ∩ A, bool(labels − A))``, numbered
+    in order of first occurrence, and the transition table keys on
+    that: it saturates after O(|state sets| × 2^|A|) misses instead of
+    growing with the graph's label-set diversity.  (This is unsound for
+    predicates — attrs, not labels — and for sampled mode — per-step
+    randomness; both are excluded by the fast-path gate.)
+
+    The projection never visits label sets one by one: it reads the
+    interner's per-label postings (:meth:`LabelIncidence.symbol_keys`),
+    so its cost is a few array operations per label of ``A`` plus one
+    first-occurrence pass over the new label-set ids, and only the
+    distinct keys are built as Python tuples.  The postings are shared by every
+    table over the interner, in both directions, and are built once per
+    interner growth.
 
     ``table`` and ``sym_ids`` are public on purpose: the walk inner
     loop probes ``table.get((sid, sym_ids[lsid]))`` directly, falling
@@ -137,6 +260,7 @@ class InternedStepTable:
     __slots__ = (
         "nfa",
         "interner",
+        "incidence",
         "label_sets",
         "table",
         "sym_ids",
@@ -148,16 +272,17 @@ class InternedStepTable:
         "misses",
     )
 
-    def __init__(self, nfa: NFA, label_sets: Sequence[LabelSet]):
+    def __init__(self, nfa: NFA, incidence: LabelIncidence):
         self.nfa = nfa
         self.interner = StateSetInterner()
-        self.label_sets = label_sets
+        self.incidence = incidence
+        self.label_sets = incidence.label_sets
         self.table: Dict[Tuple[int, int], int] = {}
         #: lsid -> symbol-key id, kept in lockstep with ``label_sets``
         #: by :meth:`project`
         self.sym_ids: List[int] = []
         self._alphabet = nfa.literal_alphabet()
-        self._key_ids: Dict[Tuple[LabelSet, bool], int] = {}
+        self._key_ids: Dict[SymbolKey, int] = {}
         #: numpy mirror of ``sym_ids`` for bulk lookups (lazy)
         self._sym_arr: Optional[npt.NDArray[np.int32]] = None
         #: dense ``(sid, symbol_key) -> sid`` mirror of ``table`` for the
@@ -176,19 +301,19 @@ class InternedStepTable:
 
     def project(self) -> None:
         """Extend ``sym_ids`` over every label set interned so far."""
-        label_sets = self.label_sets
-        sym_ids = self.sym_ids
-        alphabet = self._alphabet
+        start = len(self.sym_ids)
+        if start == len(self.label_sets):
+            return
+        keys, key_index = self.incidence.symbol_keys(self._alphabet, start)
         key_ids = self._key_ids
-        for lsid in range(len(sym_ids), len(label_sets)):
-            labels = label_sets[lsid]
-            relevant = labels & alphabet
-            key = (relevant, len(relevant) < len(labels))
+        skids = np.empty(len(keys), dtype=np.int64)
+        for index, key in enumerate(keys):
             skid = key_ids.get(key)
             if skid is None:
                 skid = len(key_ids)
                 key_ids[key] = skid
-            sym_ids.append(skid)
+            skids[index] = skid
+        self.sym_ids.extend(skids[key_index].tolist())
 
     def step(self, sid: int, lsid: int) -> int:
         """Transition ``sid`` on the label set with id ``lsid``."""
@@ -232,9 +357,9 @@ class InternedStepTable:
     def adopt_state(
         cls,
         nfa: NFA,
-        label_sets: Sequence[LabelSet],
+        incidence: LabelIncidence,
         state_sets: Sequence[StateSet],
-        key_ids: Dict[Tuple[LabelSet, bool], int],
+        key_ids: Dict[SymbolKey, int],
         sym_ids: npt.NDArray[np.int32],
         dense: npt.NDArray[np.int32],
     ) -> "InternedStepTable":
@@ -243,12 +368,12 @@ class InternedStepTable:
         Sound only when ``nfa`` numbers its states exactly like the
         exporting automaton — guaranteed here because both sides
         compile the same canonical regex source with the deterministic
-        Thompson construction — and when ``label_sets`` is the adopted
-        (id-stable) interner table.  The dense mirror is copied into a
+        Thompson construction — and when ``incidence`` belongs to the
+        adopted (id-stable) interner.  The dense mirror is copied into a
         private writable array: shared-memory views are read-only, and
         the mirror keeps learning transitions after adoption.
         """
-        table = cls(nfa, label_sets)
+        table = cls(nfa, incidence)
         for states in state_sets:
             table.interner.intern(states)
         table._key_ids = dict(key_ids)

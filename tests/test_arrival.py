@@ -10,6 +10,11 @@ The central properties under test, from Sec. 3.2.3 and Sec. 4:
   unidirectional ablation, adaptivity).
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -347,3 +352,90 @@ class TestMissProbabilityBound:
         # this very query, so the field is optional — but if absent the
         # result is still a plain negative
         assert not result.reachable
+
+
+# the engines re-check every witness before answering True; the check
+# must be an explicit branch, not an ``assert`` that ``-O`` strips
+_WITNESS_SCRIPT = """
+if __debug__:
+    raise SystemExit("expected an optimised interpreter")
+import repro.baselines.bbfs as bbfs_module
+import repro.core.arrival as arrival_module
+from repro.baselines.bbfs import BBFSEngine
+from repro.core.arrival import Arrival, ArrivalWavefront
+from repro.errors import InvariantError
+from repro.graph.labeled_graph import LabeledGraph
+from repro.regex.matcher import DEAD
+
+graph = LabeledGraph(directed=True)
+graph.add_nodes(3)
+graph.add_edge(0, 1, {"a"})
+graph.add_edge(1, 2, {"a"})
+
+def incompatible(*args, **kwargs):
+    return DEAD
+
+arrival_module.check_path = incompatible
+bbfs_module.check_path = incompatible
+engines = {
+    "scalar": Arrival(graph, walk_length=4, num_walks=32, seed=1),
+    "wavefront": ArrivalWavefront(graph, walk_length=4, num_walks=32, seed=1),
+    "frozenset": Arrival(
+        graph, walk_length=4, num_walks=32, seed=1, fast_path=False
+    ),
+    "bbfs": BBFSEngine(graph),
+}
+for name, engine in engines.items():
+    try:
+        result = engine.query(0, 2, "a a")
+    except InvariantError:
+        print(name, "raised")
+    else:
+        print(name, "returned", result.reachable)
+"""
+
+
+def test_witness_check_survives_python_O():
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    completed = subprocess.run(
+        [sys.executable, "-O", "-c", _WITNESS_SCRIPT],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert completed.returncode == 0, completed.stderr
+    assert completed.stdout.split("\n")[:-1] == [
+        "scalar raised",
+        "wavefront raised",
+        "frozenset raised",
+        "bbfs raised",
+    ]
+
+
+def test_stage_fields_split_builds_from_the_walk(paper_graph):
+    engine = Arrival(paper_graph, walk_length=6, num_walks=24, seed=2)
+    cold = engine.query(1, 5, "a* b a*").stats
+    assert cold.csr_rebuilds == 1
+    assert cold.view_build_s > 0.0
+    assert cold.table_build_s > 0.0
+    stages = (
+        cold.plan_s
+        + cold.params_s
+        + cold.view_build_s
+        + cold.table_build_s
+        + cold.walk_s
+        + cold.verify_s
+    )
+    assert stages <= cold.total_s
+    warm = engine.query(1, 5, "a* b a*").stats
+    assert warm.csr_rebuilds == 0
+    # the frozenset path builds neither
+    slow = Arrival(
+        paper_graph, walk_length=6, num_walks=24, seed=2, fast_path=False
+    ).query(1, 5, "a* b a*").stats
+    assert slow.view_build_s == 0.0
+    assert slow.table_build_s == 0.0
+    assert slow.walk_s > 0.0

@@ -14,6 +14,8 @@ Three layers of coverage:
   ``reachable`` answers and identical witness paths.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,8 +23,10 @@ from hypothesis import strategies as st
 
 from repro.core import Arrival
 from repro.core.fastpath import GraphView, LabelSetInterner, build_graph_view
+from repro.core.plan import PlanCache
 from repro.datasets import dblp_like, freebase_like, gplus_like
 from repro.graph.labeled_graph import LabeledGraph
+from repro.graph.stats import labels_by_frequency
 from repro.labels import PredicateRegistry
 from repro.queries import WorkloadGenerator
 from repro.regex import compile_regex
@@ -76,7 +80,7 @@ class TestInternedStepTable:
     def _table(self, regex, label_sets):
         compiled = compile_regex(regex)
         interner = LabelSetInterner()
-        table = InternedStepTable(compiled.nfa, interner.sets)
+        table = InternedStepTable(compiled.nfa, interner.incidence)
         lsids = [interner.intern(s) for s in label_sets]
         table.project()
         return compiled, table, lsids
@@ -132,7 +136,7 @@ class TestInternedStepTable:
     def test_project_extends_incrementally(self):
         compiled = compile_regex("a+")
         interner = LabelSetInterner()
-        table = InternedStepTable(compiled.nfa, interner.sets)
+        table = InternedStepTable(compiled.nfa, interner.incidence)
         first = interner.intern(frozenset({"a"}))
         table.project()
         assert len(table.sym_ids) == 1
@@ -157,7 +161,7 @@ class TestInternedStepTable:
     ):
         compiled = compile_regex(regex)
         interner = LabelSetInterner()
-        table = InternedStepTable(compiled.nfa, interner.sets)
+        table = InternedStepTable(compiled.nfa, interner.incidence)
         lsids = [interner.intern(s) for s in labels]
         table.project()
         sid = table.intern(compiled.nfa.initial_states())
@@ -169,6 +173,139 @@ class TestInternedStepTable:
             if sid == EMPTY_STATE_ID:
                 assert states == frozenset()
                 break
+
+
+# ---------------------------------------------------------------------------
+# symbol-key projection from the interner's per-label postings
+# ---------------------------------------------------------------------------
+class _AlphabetOnly:
+    """Stands in for an NFA whose literal alphabet is ``alphabet``.
+
+    Projection reads nothing else of the automaton, so arbitrary
+    alphabets (empty, or larger than any regex a test would write) can
+    be checked directly.
+    """
+
+    def __init__(self, alphabet):
+        self._alphabet = frozenset(alphabet)
+
+    def literal_alphabet(self):
+        return self._alphabet
+
+
+def reference_projection(label_sets, alphabet):
+    """``(labels & A, bool(labels - A))``, numbered by first occurrence."""
+    key_ids = {}
+    sym_ids = []
+    for labels in label_sets:
+        relevant = labels & alphabet
+        key = (relevant, len(relevant) < len(labels))
+        sym_ids.append(key_ids.setdefault(key, len(key_ids)))
+    return sym_ids, key_ids
+
+
+#: 80 labels, so alphabets can hold more than 62 labels present in sets
+POOL = [f"l{i}" for i in range(80)]
+label_set_lists = st.lists(
+    st.frozensets(st.sampled_from(POOL), max_size=70), max_size=40
+)
+alphabets = st.frozensets(
+    st.sampled_from(POOL + ["absent0", "absent1"]), max_size=82
+)
+
+
+def assert_matches_reference(table, label_sets, alphabet):
+    sym_ids, key_ids = reference_projection(label_sets, alphabet)
+    assert table.sym_ids == sym_ids
+    assert table._key_ids == key_ids
+    # the numbering itself, not just the mapping, must agree
+    assert list(table._key_ids.items()) == list(key_ids.items())
+
+
+class TestSymbolKeyProjection:
+    @settings(max_examples=80, deadline=None)
+    @given(label_sets=label_set_lists, alphabet=alphabets)
+    def test_projection_matches_reference(self, label_sets, alphabet):
+        interner = LabelSetInterner()
+        for labels in label_sets:
+            interner.intern(labels)
+        table = InternedStepTable(_AlphabetOnly(alphabet), interner.incidence)
+        table.project()
+        assert_matches_reference(table, interner.sets, alphabet)
+
+    def test_empty_alphabet_keeps_only_the_outside_bit(self):
+        interner = LabelSetInterner()
+        for labels in ({"x"}, set(), {"x", "y"}, {"z"}):
+            interner.intern(frozenset(labels))
+        table = InternedStepTable(_AlphabetOnly(()), interner.incidence)
+        table.project()
+        assert table.sym_ids == [0, 1, 0, 0]
+        assert_matches_reference(table, interner.sets, frozenset())
+
+    def test_alphabet_of_more_than_62_present_labels(self):
+        interner = LabelSetInterner()
+        for i in range(len(POOL)):
+            interner.intern(frozenset(POOL[: i + 1]))
+            interner.intern(frozenset(POOL[i:]))
+        alphabet = frozenset(POOL[:75])
+        table = InternedStepTable(_AlphabetOnly(alphabet), interner.incidence)
+        table.project()
+        assert len(table._key_ids) > 100
+        assert_matches_reference(table, interner.sets, alphabet)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        batches=st.lists(label_set_lists, min_size=1, max_size=5),
+        alphabet=alphabets,
+    )
+    def test_incremental_projection_interleaved_with_interning(
+        self, batches, alphabet
+    ):
+        interner = LabelSetInterner()
+        table = InternedStepTable(_AlphabetOnly(alphabet), interner.incidence)
+        for batch in batches:
+            for labels in batch:
+                interner.intern(labels)
+            table.project()
+            assert_matches_reference(table, interner.sets, alphabet)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        shipped=label_set_lists, grown=label_set_lists, alphabet=alphabets
+    )
+    def test_export_adopt_round_trip(self, shipped, grown, alphabet):
+        nfa = _AlphabetOnly(alphabet)
+        interner = LabelSetInterner()
+        for labels in shipped:
+            interner.intern(labels)
+        donor = InternedStepTable(nfa, interner.incidence)
+        state = donor.export_state()
+        adopted_interner = LabelSetInterner.adopt(interner.sets)
+        adopted = InternedStepTable.adopt_state(
+            nfa,
+            adopted_interner.incidence,
+            state_sets=state["state_sets"],
+            key_ids=state["key_ids"],
+            sym_ids=state["sym_ids"],
+            dense=state["dense"],
+        )
+        assert_matches_reference(adopted, adopted_interner.sets, alphabet)
+        for labels in grown:
+            adopted_interner.intern(labels)
+        adopted.project()
+        assert_matches_reference(adopted, adopted_interner.sets, alphabet)
+
+    def test_incidence_is_built_lazily_and_shared(self):
+        graph = gplus_like(n_nodes=80, seed=4)
+        engine = Arrival(graph, walk_length=8, num_walks=10, seed=1)
+        engine.prepare()
+        incidence = engine._label_interner.incidence
+        # building the view in set-up leaves the postings for later
+        assert incidence.covered == 0
+        engine.query(0, 1, "a+")
+        assert incidence.covered == len(engine._label_interner.sets)
+        for _, (_, table) in engine._fast_tables.items():
+            assert table.incidence is incidence
 
 
 # ---------------------------------------------------------------------------
@@ -326,6 +463,55 @@ class TestFastPathGating:
         assert result.reachable
         assert result.stats.csr_rebuilds == 1
         assert engine.view_rebuilds == 2
+
+
+# ---------------------------------------------------------------------------
+# step-table cache bound
+# ---------------------------------------------------------------------------
+@pytest.mark.parametrize("fast_path", [True, False])
+def test_transition_memos_are_bounded_by_plan_cache_capacity(fast_path):
+    """600 distinct regexes through a plan cache of 8: at most 16 step
+    tables and 16 frozenset step caches stay cached, and evicted memos
+    rebuild to the answers an engine that never evicts gives.
+
+    Memos key on ``id(compiled)``; a regex evicted from the plan cache
+    is freed, and a later regex may get its id.  Each memo entry holds
+    its regex, so no later regex can hit a stale memo.
+    """
+    graph = gplus_like(n_nodes=60, seed=3)
+    labels = labels_by_frequency(graph)[:5]
+    regexes = []
+    for length in (1, 2, 3, 4):
+        for word in itertools.product(labels, repeat=length):
+            regexes.append(" ".join(word))
+    regexes = regexes[:600]
+    assert len(set(regexes)) == 600
+
+    def run(max_plans):
+        engine = Arrival(
+            graph,
+            walk_length=6,
+            num_walks=8,
+            seed=9,
+            fast_path=fast_path,
+            plan_cache=PlanCache(max_plans=max_plans),
+        )
+        answers = []
+        peak = 0
+        for regex in regexes:
+            result = engine.query(0, 1, regex)
+            answers.append((result.reachable, result.path, result.jumps))
+            memos = [engine._step_caches]
+            if fast_path:
+                memos.append(engine._fast_tables)
+            peak = max(peak, *(len(memo) for memo in memos))
+        return answers, peak
+
+    bounded, bounded_peak = run(8)
+    unbounded, unbounded_peak = run(1024)
+    assert bounded_peak <= 2 * 8
+    assert unbounded_peak == 2 * 600
+    assert bounded == unbounded
 
 
 # ---------------------------------------------------------------------------

@@ -691,6 +691,8 @@ class TestExecStatsBridge:
             "plan_s": float,
             "compile_s": float,
             "params_s": float,
+            "view_build_s": float,
+            "table_build_s": float,
             "walk_s": float,
             "verify_s": float,
             "oracle_s": float,

@@ -136,6 +136,20 @@ class TestRoundTrip:
             bundle.close()
             plane.release()
 
+    def test_neighbor_rows_match_labeled_graph(self, graph, plane):
+        bundle = attach_bundle(plane.acquire())
+        mirror = bundle.graph
+        try:
+            for node in range(graph.max_node_id):
+                out = mirror.out_neighbors(node)
+                into = mirror.in_neighbors(node)
+                assert out == graph.out_neighbors(node)
+                assert into == graph.in_neighbors(node)
+                assert all(type(other) is int for other in out + into)
+        finally:
+            bundle.close()
+            plane.release()
+
 
 # ---------------------------------------------------------------------------
 # immutability
